@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test bench bench-1x bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke fuzz-smoke xmlint lint vulncheck fmt ci
+.PHONY: build examples test perfbench-test bench bench-1x bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke fuzz-smoke xmlint lint vulncheck fmt ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ examples:
 
 test:
 	$(GO) test -race ./...
+
+# The repository benchmark (perfbench/) is its own module, outside
+# `./...`. Its tests include byte-identity reference checks of the
+# program it drives — merged-log sha256 against an uninterrupted run,
+# rendered report bytes, SSE reassembly — so they run on every CI pass.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Full benchmark run with allocation stats.
 bench:
@@ -180,4 +187,4 @@ vulncheck:
 fmt:
 	gofmt -w .
 
-ci: build examples lint test fuzz-smoke bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke
+ci: build examples lint test perfbench-test fuzz-smoke bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke

@@ -80,7 +80,7 @@ func main() {
 		resume   = flag.Bool("resume", false, "resume an interrupted -stream campaign from its checkpoint")
 		fresh    = flag.Bool("fresh-machines", false, "disable machine pooling (one fresh simulator per test)")
 		codec    = flag.String("codec", "", "shard record codec for -stream: json (default) or raw (allocation-free; identical bytes)")
-		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets (0 = unbatched; identical results)")
+		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets (0 = unbatched; identical results; kernels recycle either way)")
 		plan     = flag.String("plan", "", "test plan: exhaustive (default), pairwise, rand:N, boundary, feedback:N, phantom (see -list)")
 		tgt      = flag.String("target", "", "execution target: sim (default), phantom, diff:a,b (see -list)")
 		seed     = flag.Int64("seed", 0, "seed for randomised plans (rand:N, feedback:N)")

@@ -38,13 +38,15 @@ func planSource(t *testing.T, _ string, opts Options) Source {
 // byte-identical whether tests execute one per slot acquisition or in
 // multi-test leases rewound in-slot — across batch sizes that divide the
 // campaign evenly and ones that leave a partial trailing lease, and
-// across both codecs.
+// across both codecs. Pooled unbatched execution recycles kernels too
+// (as a one-test lease), so the reference is the independent
+// FreshMachines path: a new machine and a new testbed for every test.
 func TestBatchedExecutionIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several full campaigns")
 	}
 	base := EngineOptions{Options: Options{Plan: "rand:30", Seed: 11, Workers: 2, MAFs: 2}}
-	want := mergedCampaign(t, base)
+	want := mergedCampaign(t, EngineOptions{Options: base.Options, FreshMachines: true})
 	if len(want) == 0 {
 		t.Fatal("empty campaign log")
 	}
@@ -52,6 +54,7 @@ func TestBatchedExecutionIsByteIdentical(t *testing.T) {
 		name string
 		eo   EngineOptions
 	}{
+		{"unbatched", base},
 		{"batch3", EngineOptions{Options: base.Options, BatchSize: 3}},
 		{"batch7-partial", EngineOptions{Options: base.Options, BatchSize: 7}},
 		{"batch3-raw", EngineOptions{Options: base.Options, BatchSize: 3, Codec: "raw"}},
@@ -59,8 +62,36 @@ func TestBatchedExecutionIsByteIdentical(t *testing.T) {
 		{"batch-legacy-pool-ignored", EngineOptions{Options: base.Options, BatchSize: 4, PoolStrict: true}},
 	} {
 		if got := mergedCampaign(t, tc.eo); !bytes.Equal(want, got) {
-			t.Errorf("%s: merged log differs from unbatched json reference (%d vs %d bytes)",
+			t.Errorf("%s: merged log differs from the fresh-machines reference (%d vs %d bytes)",
 				tc.name, len(got), len(want))
+		}
+	}
+}
+
+// TestPooledExecutionMatchesFreshMachines holds kernel recycling to the
+// build-per-test oracle on the campaigns whose execution path differs
+// from a plain sim run: per-test coverage sinks, inject:sim's two legs
+// per test through one recycled slot, and a feedback plan (always
+// unbatched, coverage-driven).
+func TestPooledExecutionMatchesFreshMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several full campaigns")
+	}
+	for _, opts := range []Options{
+		{Plan: "rand:40", Seed: 4, Workers: 2, MAFs: 2, Coverage: true},
+		{Plan: "rand:40", Seed: 2, Workers: 2, Target: "inject:sim"},
+		{Plan: "feedback:40", Seed: 3, Workers: 2},
+	} {
+		want := mergedCampaign(t, EngineOptions{Options: opts, FreshMachines: true})
+		if len(want) == 0 {
+			t.Fatalf("%s on %q: empty campaign log", opts.Plan, opts.Target)
+		}
+		for _, batch := range []int{0, 4} {
+			got := mergedCampaign(t, EngineOptions{Options: opts, BatchSize: batch})
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s on %q, batch %d: pooled merged log differs from the fresh-machines reference (%d vs %d bytes)",
+					opts.Plan, opts.Target, batch, len(got), len(want))
+			}
 		}
 	}
 }

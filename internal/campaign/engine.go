@@ -83,12 +83,14 @@ type EngineOptions struct {
 
 	// BatchSize leases contiguous runs of pending tests to each worker
 	// when the target can execute them in one held slot (the
-	// target.BatchExecutor capability), amortising the per-test
-	// recycle-and-verify baseline across the lease. Results are
-	// byte-identical to unbatched execution — the capability's contract.
-	// 0 or 1, targets without the capability, and feedback-driven plans
-	// (whose At blocks on earlier positions' coverage) execute one test
-	// per slot acquisition as before.
+	// target.BatchExecutor capability), amortising the per-test slot
+	// acquisition — the pool's restore-and-verify cycle — across the
+	// lease. Unbatched execution does not rebuild the testbed either: the
+	// sim target runs each pooled test as a one-test lease that recycles
+	// the machine's kernel. Results are byte-identical to unbatched
+	// execution — the capability's contract. 0 or 1, targets without the
+	// capability, and feedback-driven plans (whose At blocks on earlier
+	// positions' coverage) execute one test per slot acquisition.
 	BatchSize int
 
 	// TargetInstance, when non-nil, is the execution backend itself,

@@ -94,20 +94,31 @@ func (m *Map) Merge(o *Map) int {
 	return n
 }
 
+// FNV-1a parameters of Signature. prime8 is prime^8 mod 2^64: a zero
+// byte leaves the FNV-1a state's xor step a no-op, so hashing a zero word
+// is exactly eight multiplications by prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime8 = 2232315406967589409
+)
+
 // Signature hashes the covered site set into a stable 64-bit value
-// (FNV-1a over the bitmap words). Equal signatures mean identical edge
-// sets; the feedback report and the corpus file carry it as the compact
-// coverage identity of a test.
+// (FNV-1a over the bitmap words, low byte first). Equal signatures mean
+// identical edge sets; the feedback report and the corpus file carry it
+// as the compact coverage identity of a test. Coverage maps are sparse,
+// so zero words take the one-multiply shortcut; the value is the
+// byte-wise hash's, bit for bit.
 func (m *Map) Signature() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for _, w := range m.bits {
+		if w == 0 {
+			h *= fnvPrime8
+			continue
+		}
 		for s := 0; s < 64; s += 8 {
 			h ^= (w >> s) & 0xff
-			h *= prime
+			h *= fnvPrime
 		}
 	}
 	return h

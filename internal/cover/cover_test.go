@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -73,6 +74,52 @@ func TestSignatureStable(t *testing.T) {
 	}
 	if (&Map{}).Signature() == a.Signature() {
 		t.Error("empty map collides with non-empty")
+	}
+}
+
+// byteWiseSignature is the reference definition of Signature: FNV-1a
+// over every byte of the bitmap words, low byte first.
+func byteWiseSignature(m *Map) uint64 {
+	h := uint64(fnvOffset)
+	for _, w := range m.bits {
+		for s := 0; s < 64; s += 8 {
+			h ^= (w >> s) & 0xff
+			h *= fnvPrime
+		}
+	}
+	return h
+}
+
+// TestSignatureMatchesByteWiseFNV pins the word-skipping Signature to the
+// byte-wise FNV-1a it replaced, on random maps of every density plus the
+// empty and full extremes.
+func TestSignatureMatchesByteWiseFNV(t *testing.T) {
+	p8 := uint64(1)
+	for i := 0; i < 8; i++ {
+		p8 *= fnvPrime
+	}
+	if p8 != fnvPrime8 {
+		t.Fatalf("fnvPrime8 = %d, want prime^8 mod 2^64 = %d", uint64(fnvPrime8), p8)
+	}
+	var full Map
+	for s := uint32(0); s < NumSites; s++ {
+		full.Hit(s)
+	}
+	maps := []*Map{{}, &full}
+	rng := rand.New(rand.NewSource(1))
+	for _, hits := range []int{1, 2, 10, 100, 1000, NumSites} {
+		for i := 0; i < 20; i++ {
+			m := &Map{}
+			for j := 0; j < hits; j++ {
+				m.Hit(uint32(rng.Intn(NumSites)))
+			}
+			maps = append(maps, m)
+		}
+	}
+	for i, m := range maps {
+		if got, want := m.Signature(), byteWiseSignature(m); got != want {
+			t.Fatalf("map %d (%d sites): Signature = %#x, byte-wise FNV-1a = %#x", i, m.Count(), got, want)
+		}
 	}
 }
 

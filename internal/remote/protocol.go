@@ -131,15 +131,15 @@ func specToWire(spec target.RunSpec) wireSpec {
 	return wireSpec{Faults: spec.Faults, MAFs: spec.MAFs, Stress: spec.Stress, Coverage: spec.Coverage}
 }
 
-// specFromWire rebuilds the worker-side RunSpec, filling the header and
-// dictionary from the defaults the worker executes against.
-func specFromWire(ws wireSpec) target.RunSpec {
+// specFromWire rebuilds the worker-side RunSpec around the header and
+// dictionary the worker executes against.
+func specFromWire(ws wireSpec, h *apispec.Header, d *dict.Dictionary) target.RunSpec {
 	return target.RunSpec{
 		Faults:   ws.Faults,
 		MAFs:     ws.MAFs,
 		Stress:   ws.Stress,
-		Header:   apispec.Default(),
-		Dict:     dict.Builtin(),
+		Header:   h,
+		Dict:     d,
 		Coverage: ws.Coverage,
 	}
 }

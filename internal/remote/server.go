@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
+	"xmrobust/internal/dict"
 	"xmrobust/internal/obs"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -48,6 +50,12 @@ type Server struct {
 	executed      atomic.Int64
 	exitOnce      sync.Once
 	met           *obs.WorkerMetrics // set in provision; nil handles when obs off
+
+	// header and dict are the spec and value dictionary every request
+	// executes against, built once in provision: they are read-only, so
+	// concurrent requests share them.
+	header *apispec.Header
+	dict   *dict.Dictionary
 
 	draining atomic.Bool
 	connWG   sync.WaitGroup
@@ -125,6 +133,7 @@ func (s *Server) provision() error {
 			s.Workers = 1
 		}
 		s.sem = make(chan struct{}, s.Workers)
+		s.header, s.dict = apispec.Default(), dict.Builtin()
 		s.met = obs.NewWorkerMetrics(s.Obs.Registry())
 		s.Obs.Prog().Begin(0, 0)
 		s.provisionErr = s.Target.Provision(s.Workers)
@@ -225,7 +234,7 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
 		s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
 		return
 	}
-	spec := specFromWire(req.Spec)
+	spec := specFromWire(req.Spec, s.header, s.dict)
 	datasets := make([]testgen.Dataset, 0, len(req.Tests))
 	for _, wt := range req.Tests {
 		ds, err := testFromWire(wt, spec.Header)
@@ -243,7 +252,7 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
 
 	s.sem <- struct{}{}
 	var results []target.Result
-	if be, ok := s.Target.(target.BatchExecutor); ok && len(datasets) > 1 {
+	if be, ok := s.Target.(target.BatchExecutor); ok {
 		slot := s.Target.Acquire()
 		results = be.ExecuteBatch(slot, datasets, spec)
 		s.Target.Release(slot)

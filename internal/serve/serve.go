@@ -72,7 +72,9 @@ type Submission struct {
 	// Shards is the shard-writer count (0: workers).
 	Shards int `json:"shards,omitempty"`
 	// Batch leases contiguous runs of tests per worker slot on batching
-	// targets (0: unbatched; results identical either way).
+	// targets (0: unbatched; results identical either way). Unbatched
+	// tests still recycle the sim testbed's kernel; batching saves only
+	// the per-test slot acquisition.
 	Batch int `json:"batch,omitempty"`
 	// Limit stops dispatching after N tests (0: run everything); the
 	// checkpoint makes the balance resumable.

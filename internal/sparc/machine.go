@@ -48,11 +48,19 @@ func DefaultConfig() Config {
 // plays the role of TSIM in the paper's test setup, including TSIM's
 // failure mode: Crash marks the simulator itself dead, distinct from any
 // guest or kernel failure.
+//
+// A machine's memory cost is the pages it touches: the writable banks
+// allocate DirtyPageSize pages on first store, never-written memory reads
+// as zero without backing, and the PROM — which nothing can write —
+// holds no pages at all.
 type Machine struct {
 	cfg Config
-	rom []byte
-	ram []byte
-	io  []byte
+	// ram and io are the writable banks. Their dirty sets track which
+	// pages have been stored to since power-on (or the last Reset), so
+	// Reset scrubs only what a run actually touched instead of the whole
+	// bank. ROM needs no tracking: writes to it trap.
+	ram bank
+	io  bank
 
 	now    Time
 	timers [NumTimerUnits]TimerUnit
@@ -62,87 +70,29 @@ type Machine struct {
 	crashed     bool
 	crashReason string
 
-	// dirtyRAM/dirtyIO track which pages of the writable banks have been
-	// stored to since power-on (or the last Reset), so Reset scrubs only
-	// what a run actually touched instead of the whole bank. ROM needs no
-	// tracking: writes to it trap.
-	dirtyRAM dirtySet
-	dirtyIO  dirtySet
-
 	// stats
 	reads, writes, trapsRaised uint64
 	resets                     uint64
+	// audits counts AuditPages calls; it rotates the audit window.
+	audits uint64
+
+	// parked is the embedding harness's per-machine cache (see Park).
+	parked any
 }
 
-// dirtyPageShift sets the dirty-tracking granularity: 4 KiB pages.
-const dirtyPageShift = 12
-
-// DirtyPageSize is the dirty-tracking granularity in bytes — the page
-// size DirtyPages addresses are aligned to.
-const DirtyPageSize = 1 << dirtyPageShift
-
-// dirtySet is a page-granular dirty bitmap over one memory bank.
-type dirtySet []uint64
-
-func newDirtySet(bankSize uint32) dirtySet {
-	pages := (uint64(bankSize) + (1 << dirtyPageShift) - 1) >> dirtyPageShift
-	return make(dirtySet, (pages+63)/64)
-}
-
-// mark records that [off, off+size) was written.
-func (d dirtySet) mark(off uint64, size uint32) {
-	first := off >> dirtyPageShift
-	last := (off + uint64(size) - 1) >> dirtyPageShift
-	for p := first; p <= last; p++ {
-		d[p/64] |= 1 << (p % 64)
-	}
-}
-
-// empty reports whether no page is marked.
-func (d dirtySet) empty() bool {
-	for _, w := range d {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// scrub zeroes every marked page of mem and clears the set.
-func (d dirtySet) scrub(mem []byte) {
-	for wi, w := range d {
-		if w == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) == 0 {
-				continue
-			}
-			start := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-			end := start + (1 << dirtyPageShift)
-			if end > uint64(len(mem)) {
-				end = uint64(len(mem))
-			}
-			clear(mem[start:end])
-		}
-		d[wi] = 0
-	}
-}
-
-// NewMachine powers on a machine with the given layout. Memory is zeroed,
-// the clock is at 0, timers are disarmed.
+// NewMachine powers on a machine with the given layout. Memory reads as
+// zero, the clock is at 0, timers are disarmed. No memory page is
+// allocated until the first store to it, so a new machine costs its page
+// tables — about 36 KiB on the default layout — not its bank sizes.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		cfg: cfg,
-		rom: make([]byte, cfg.ROMSize),
-		ram: make([]byte, cfg.RAMSize),
-		io:  make([]byte, cfg.IOSize),
+		ram: newBank("ram", cfg.RAMBase, cfg.RAMSize),
+		io:  newBank("io", cfg.IOBase, cfg.IOSize),
 	}
 	for i := range m.timers {
 		m.timers[i].unit = i
 	}
-	m.dirtyRAM = newDirtySet(cfg.RAMSize)
-	m.dirtyIO = newDirtySet(cfg.IOSize)
 	return m
 }
 
@@ -231,20 +181,22 @@ func (m *Machine) nextDue(limit Time) (int, Time) {
 	return best, bestAt
 }
 
-// backing resolves a physical address range to its backing store, or nil if
-// the range is not backed (a bus error on real hardware). Straight-line
-// bank checks: this sits under every memory access of the simulator.
-func (m *Machine) backing(addr Addr, size uint32) []byte {
-	if off, ok := bankOffset(addr, size, m.cfg.RAMBase, m.ram); ok {
-		return m.ram[off : off+uint64(size)]
+// resolve maps a physical address range onto the bank backing it: the
+// RAM or I/O bank with the in-bank offset, or a nil bank for ROM (which
+// holds no pages and reads as zero). !ok means the range is not backed
+// (a bus error on real hardware). Straight-line bank checks: this sits
+// under every memory access of the simulator.
+func (m *Machine) resolve(addr Addr, size uint32) (b *bank, off uint64, ok bool) {
+	if off, ok := m.ram.offset(addr, size); ok {
+		return &m.ram, off, true
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.ROMBase, m.rom); ok {
-		return m.rom[off : off+uint64(size)]
+	if _, ok := bankOffset(addr, size, m.cfg.ROMBase, m.cfg.ROMSize); ok {
+		return nil, 0, true
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.IOBase, m.io); ok {
-		return m.io[off : off+uint64(size)]
+	if off, ok := m.io.offset(addr, size); ok {
+		return &m.io, off, true
 	}
-	return nil
+	return nil, 0, false
 }
 
 // Read reads size bytes at addr into a fresh slice, returning a
@@ -254,13 +206,13 @@ func (m *Machine) backing(addr Addr, size uint32) []byte {
 // buffer use ReadInto and skip the allocation.
 func (m *Machine) Read(addr Addr, size uint32) ([]byte, *Trap) {
 	m.reads++
-	b := m.backing(addr, size)
-	if b == nil {
+	b, off, ok := m.resolve(addr, size)
+	if !ok {
 		m.trapsRaised++
 		return nil, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
 	out := make([]byte, size)
-	copy(out, b)
+	b.read(off, out)
 	return out, nil
 }
 
@@ -269,19 +221,13 @@ func (m *Machine) Read(addr Addr, size uint32) ([]byte, *Trap) {
 // bus and trap accounting is identical to Read's.
 func (m *Machine) ReadInto(addr Addr, buf []byte) *Trap {
 	m.reads++
-	b := m.backing(addr, uint32(len(buf)))
-	if b == nil {
+	b, off, ok := m.resolve(addr, uint32(len(buf)))
+	if !ok {
 		m.trapsRaised++
 		return DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
-	copy(buf, b)
+	b.read(off, buf)
 	return nil
-}
-
-// bankOffset resolves addr against one bank, returning the in-bank offset.
-func bankOffset(addr Addr, size uint32, base Addr, mem []byte) (uint64, bool) {
-	off := uint64(addr) - uint64(base)
-	return off, uint64(addr) >= uint64(base) && off+uint64(size) <= uint64(len(mem))
 }
 
 // Write stores data at addr, trapping on unbacked addresses. Writes to ROM
@@ -291,23 +237,16 @@ func bankOffset(addr Addr, size uint32, base Addr, mem []byte) (uint64, bool) {
 func (m *Machine) Write(addr Addr, data []byte) *Trap {
 	m.writes++
 	size := uint32(len(data))
-	if uint64(addr) >= uint64(m.cfg.ROMBase) &&
-		uint64(addr)+uint64(size) <= uint64(m.cfg.ROMBase)+uint64(m.cfg.ROMSize) {
+	if _, ok := bankOffset(addr, size, m.cfg.ROMBase, m.cfg.ROMSize); ok {
 		m.trapsRaised++
 		return DataAccessTrap(addr, PermWrite, "write to PROM")
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.RAMBase, m.ram); ok {
-		copy(m.ram[off:off+uint64(size)], data)
-		if size > 0 {
-			m.dirtyRAM.mark(off, size)
-		}
+	if off, ok := m.ram.offset(addr, size); ok {
+		m.ram.write(off, data)
 		return nil
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.IOBase, m.io); ok {
-		copy(m.io[off:off+uint64(size)], data)
-		if size > 0 {
-			m.dirtyIO.mark(off, size)
-		}
+	if off, ok := m.io.offset(addr, size); ok {
+		m.io.write(off, data)
 		return nil
 	}
 	m.trapsRaised++
@@ -322,12 +261,12 @@ func (m *Machine) Read32(addr Addr) (uint32, *Trap) {
 		return 0, AlignmentTrap(addr, PermRead)
 	}
 	m.reads++
-	b := m.backing(addr, 4)
-	if b == nil {
+	b, off, ok := m.resolve(addr, 4)
+	if !ok {
 		m.trapsRaised++
 		return 0, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return b.load32(off), nil
 }
 
 // Write32 stores a big-endian word.
@@ -349,12 +288,12 @@ func (m *Machine) Read64(addr Addr) (uint64, *Trap) {
 		return 0, AlignmentTrap(addr, PermRead)
 	}
 	m.reads++
-	b := m.backing(addr, 8)
-	if b == nil {
+	b, off, ok := m.resolve(addr, 8)
+	if !ok {
 		m.trapsRaised++
 		return 0, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return b.load64(off), nil
 }
 
 // Write64 stores a big-endian doubleword.
@@ -376,29 +315,15 @@ func (m *Machine) Write64(addr Addr, v uint64) *Trap {
 // scrubs from, so the list is exact, not heuristic.
 func (m *Machine) DirtyPages() []Addr {
 	var out []Addr
-	collect := func(d dirtySet, base Addr, size uint32) {
-		for wi, w := range d {
-			if w == 0 {
-				continue
-			}
-			for b := 0; b < 64; b++ {
-				if w&(1<<b) == 0 {
-					continue
-				}
-				off := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-				if off < uint64(size) {
-					out = append(out, base+Addr(off))
-				}
-			}
-		}
+	for _, b := range [...]*bank{&m.ram, &m.io} {
+		b.dirty.each(func(p uint64) { out = append(out, b.base+Addr(p<<dirtyPageShift)) })
 	}
-	collect(m.dirtyRAM, m.cfg.RAMBase, m.cfg.RAMSize)
-	collect(m.dirtyIO, m.cfg.IOBase, m.cfg.IOSize)
 	return out
 }
 
 // FlipBit inverts one bit of backed writable memory — the single-event-
-// upset primitive. The touched page is marked dirty, so Reset scrubs an
+// upset primitive. The touched page is allocated if need be and marked
+// dirty, so Reset scrubs an
 // injected machine exactly like any other and it recycles through the
 // pool without residue. Unlike Write, a flip models radiation, not a bus
 // transaction: it bypasses the access counters and cannot trap; flips
@@ -409,15 +334,12 @@ func (m *Machine) FlipBit(addr Addr, bit uint8) bool {
 	if m.crashed {
 		return false
 	}
-	if off, ok := bankOffset(addr, 1, m.cfg.RAMBase, m.ram); ok {
-		m.ram[off] ^= 1 << (bit % 8)
-		m.dirtyRAM.mark(off, 1)
-		return true
-	}
-	if off, ok := bankOffset(addr, 1, m.cfg.IOBase, m.io); ok {
-		m.io[off] ^= 1 << (bit % 8)
-		m.dirtyIO.mark(off, 1)
-		return true
+	for _, b := range [...]*bank{&m.ram, &m.io} {
+		if off, ok := b.offset(addr, 1); ok {
+			b.page(off >> dirtyPageShift)[off&pageMask] ^= 1 << (bit % 8)
+			b.dirty.mark(off, 1)
+			return true
+		}
 	}
 	return false
 }
@@ -440,14 +362,30 @@ func (m *Machine) Stats() (reads, writes, traps uint64) {
 // Resets returns how many times the machine has been Reset since power-on.
 func (m *Machine) Resets() uint64 { return m.resets }
 
+// Park attaches v to the machine for the embedding harness to claim on
+// the machine's next lease (the sim target parks its recycled testbed
+// kernel here). The value survives Reset and RestoreSnapshot and lives
+// exactly as long as the machine: when a pool drops the machine — a
+// crash, a failed verification, a full free list — the parked value
+// goes with it.
+func (m *Machine) Park(v any) { m.parked = v }
+
+// Unpark returns the parked value and clears it (nil when none).
+func (m *Machine) Unpark() any {
+	v := m.parked
+	m.parked = nil
+	return v
+}
+
 // Reset returns the machine to its power-on state in place: memory zeroed,
 // clock at 0, timers disarmed, devices cleared, crash flag dropped. Only
-// the pages written since the last reset are scrubbed, so the cost is
-// proportional to what the previous run touched, not to the bank sizes —
-// the property the campaign's machine pool depends on.
+// the pages written since the last reset are scrubbed — cleared in place,
+// staying allocated for the next run — so the cost is proportional to
+// what the previous run touched, not to the bank sizes: the property the
+// campaign's machine pool depends on.
 func (m *Machine) Reset() {
-	m.dirtyRAM.scrub(m.ram)
-	m.dirtyIO.scrub(m.io)
+	m.ram.scrub()
+	m.io.scrub()
 	m.now = 0
 	for i := range m.timers {
 		m.timers[i] = TimerUnit{unit: i}
@@ -473,7 +411,7 @@ func (m *Machine) VerifyReset() error {
 		return fmt.Errorf("sparc: reset machine console holds %d bytes", m.uart.Written())
 	case m.irqc.Pending() != 0:
 		return fmt.Errorf("sparc: reset machine has pending IRQs %#x", m.irqc.Pending())
-	case !m.dirtyRAM.empty() || !m.dirtyIO.empty():
+	case !m.ram.dirty.empty() || !m.io.dirty.empty():
 		return fmt.Errorf("sparc: reset machine has undrained dirty pages")
 	}
 	for i := range m.timers {
@@ -484,78 +422,54 @@ func (m *Machine) VerifyReset() error {
 	return nil
 }
 
-// AuditPages scans n pages of the writable banks for residue, starting at
-// a window that rotates with the reset count so successive audits sweep
-// the whole bank over time. It is the cheap middle ground between
-// VerifyReset (invariants only — it cannot see a page the dirty tracker
-// missed) and VerifyClean (full scan): a dirty-tracking bug surfaces as an
-// audit failure within a bounded number of recycles instead of leaking
-// silently.
+// AuditPages scans n allocated pages of the writable banks for residue.
+// Each call starts its window where the previous one ended, so
+// successive audits sweep every allocated page: a machine with T
+// allocated pages is fully audited every ceil(T/n) calls, however the
+// calls are spaced. It is the cheap middle ground between VerifyReset
+// (invariants only — it cannot see a page the dirty tracker missed) and
+// VerifyClean (full scan): a dirty-tracking bug surfaces as an audit
+// failure within a bounded number of recycles instead of leaking
+// silently. Pages never allocated need no audit: they have no bytes to
+// hold residue.
 func (m *Machine) AuditPages(n int) error {
-	banks := [...][]byte{m.ram, m.io}
-	var total uint64
-	pagesOf := func(mem []byte) uint64 {
-		return (uint64(len(mem)) + (1 << dirtyPageShift) - 1) >> dirtyPageShift
-	}
-	for _, b := range banks {
-		total += pagesOf(b)
-	}
-	if total == 0 {
+	total := len(m.ram.alloc) + len(m.io.alloc)
+	if total == 0 || n <= 0 {
 		return nil
 	}
-	start := (m.resets * uint64(n)) % total
+	n = min(n, total)
+	start := (m.audits * uint64(n)) % uint64(total)
+	m.audits++
 	for i := 0; i < n; i++ {
-		page := (start + uint64(i)) % total
-		mem, name := m.ram, "ram"
-		if ramPages := pagesOf(m.ram); page >= ramPages {
-			mem, name = m.io, "io"
-			page -= ramPages
+		k := int((start + uint64(i)) % uint64(total))
+		b := &m.ram
+		if k >= len(m.ram.alloc) {
+			b = &m.io
+			k -= len(m.ram.alloc)
 		}
-		lo := page << dirtyPageShift
-		hi := lo + (1 << dirtyPageShift)
-		if hi > uint64(len(mem)) {
-			hi = uint64(len(mem))
-		}
-		// Word-wise scan; on a hit, pin down the exact byte for the
-		// error message. Pages are power-of-two sized so only the last
-		// page of a bank can leave a sub-word tail.
-		off := lo
-		for ; off+8 <= hi; off += 8 {
-			if binary.BigEndian.Uint64(mem[off:off+8]) != 0 {
-				break
-			}
-		}
-		for ; off < hi; off++ {
-			if mem[off] != 0 {
-				return fmt.Errorf("sparc: %s residue at page %d offset %#x (untracked write?)",
-					name, page, off)
-			}
+		p := uint64(b.alloc[k])
+		if off, found := b.residue(p); found {
+			return fmt.Errorf("sparc: %s residue at page %d offset %#x (untracked write?)",
+				b.name, p, off)
 		}
 	}
 	return nil
 }
 
 // VerifyClean is the exhaustive form of VerifyReset: it additionally scans
-// every byte of ROM, RAM and I/O space for residue of a previous run. It
-// is the ground truth the reset-isolation tests (and the pool's strict
-// mode) check the dirty-page bookkeeping against.
+// every allocated page of RAM and I/O space for residue of a previous run
+// (ROM holds no pages, and a page never allocated reads as zero by
+// construction). It is the ground truth the reset-isolation tests (and the
+// pool's strict mode) check the dirty-page bookkeeping against.
 func (m *Machine) VerifyClean() error {
 	if err := m.VerifyReset(); err != nil {
 		return err
 	}
-	for _, bank := range []struct {
-		name string
-		base Addr
-		mem  []byte
-	}{
-		{"rom", m.cfg.ROMBase, m.rom},
-		{"ram", m.cfg.RAMBase, m.ram},
-		{"io", m.cfg.IOBase, m.io},
-	} {
-		for i, b := range bank.mem {
-			if b != 0 {
+	for _, b := range [...]*bank{&m.ram, &m.io} {
+		for _, p := range b.alloc {
+			if off, found := b.residue(uint64(p)); found {
 				return fmt.Errorf("sparc: %s residue: byte %#x at %#x",
-					bank.name, b, uint64(bank.base)+uint64(i))
+					b.name, b.pages[p][off&pageMask], uint64(b.base)+off)
 			}
 		}
 	}

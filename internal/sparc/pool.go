@@ -27,10 +27,10 @@ type PoolStats struct {
 	Steals uint64
 }
 
-// MachinePool recycles Machines across independent runs. A campaign that
-// boots one simulated target per test spends most of its allocation budget
-// on the memory banks; the pool keeps them alive and relies on
-// Machine.Reset's dirty-page scrubbing to restore the power-on state at a
+// MachinePool recycles Machines across independent runs. A machine costs
+// the memory pages it touches; the pool keeps a machine and its pages
+// alive across runs and relies on Machine.Reset's dirty-page scrubbing
+// (in place, so the pages are reused) to restore the power-on state at a
 // cost proportional to what the previous run touched.
 //
 // Every recycled machine is reset *and verified*: Get replays the cheap
@@ -54,8 +54,9 @@ type MachinePool struct {
 }
 
 // auditPagesPerGet is the rotating-audit window of a non-strict recycle:
-// 8 pages (32 KiB) per Get keeps the audit in the noise of a single test's
-// cost while sweeping a default RAM bank about every 512 recycles.
+// 8 pages (32 KiB) per audit keeps it in the noise of a single test's
+// cost, and a machine with T allocated pages is swept whole every
+// ceil(T/8) audits (AuditPages rotates its own window).
 const auditPagesPerGet = 8
 
 // NewMachinePool builds a pool producing machines with the given layout.

@@ -27,6 +27,18 @@ func dirtyMachine(t *testing.T) *Machine {
 	return m
 }
 
+// poke stores v at addr behind the dirty tracker's back: straight into the
+// page, allocating it but marking nothing dirty — the bookkeeping escape
+// the residue checks exist to catch.
+func poke(t *testing.T, m *Machine, addr Addr, v byte) {
+	t.Helper()
+	b, off, ok := m.resolve(addr, 1)
+	if !ok || b == nil {
+		t.Fatalf("poke at %#x: not writable memory", uint32(addr))
+	}
+	b.page(off >> dirtyPageShift)[off&pageMask] = v
+}
+
 func TestResetScrubsEverything(t *testing.T) {
 	m := dirtyMachine(t)
 	if err := m.VerifyClean(); err == nil {
@@ -57,7 +69,7 @@ func TestVerifyCleanFindsRawResidue(t *testing.T) {
 	m := NewDefaultMachine()
 	// Simulate a bookkeeping escape: memory mutated behind the dirty
 	// tracker's back.
-	m.ram[42] = 1
+	poke(t, m, m.cfg.RAMBase+42, 1)
 	if err := m.VerifyClean(); err == nil {
 		t.Fatal("raw residue not detected")
 	}
@@ -100,19 +112,56 @@ func TestPoolDiscardsCrashedMachines(t *testing.T) {
 
 func TestAuditPagesSweepsWholeBank(t *testing.T) {
 	m := NewDefaultMachine()
-	// Residue the dirty tracker knows nothing about, far into RAM.
-	m.ram[len(m.ram)-100] = 0xaa
+	// Legitimate traffic on 20 RAM pages, scrubbed by the reset below,
+	// then residue the dirty tracker knows nothing about, far into RAM:
+	// the residue page is the last of 21 in allocation order, outside
+	// the first audit window.
+	for i := 0; i < 20; i++ {
+		if tr := m.Write(m.cfg.RAMBase+Addr(i)<<dirtyPageShift, []byte{1}); tr != nil {
+			t.Fatal(tr)
+		}
+	}
+	poke(t, m, m.cfg.RAMBase+Addr(m.cfg.RAMSize)-100, 0xaa)
+	m.Reset()
+	if err := m.AuditPages(8); err != nil {
+		t.Fatalf("first audit (pages 0-7) reported %v", err)
+	}
 	found := false
-	for i := 0; i < len(m.ram)/(8<<dirtyPageShift)+len(m.io)/(8<<dirtyPageShift)+2; i++ {
+	for i := 0; i < 21/8+1; i++ {
 		if err := m.AuditPages(8); err != nil {
 			found = true
 			break
 		}
-		m.resets++ // advance the rotating window as a pool recycle would
 	}
 	if !found {
 		t.Fatal("a full sweep of rotating audits missed the residue")
 	}
+}
+
+// TestSnapshotPoolAuditSweepsEveryPage: the snapshot pool audits only
+// every snapshotAuditStride-th recycle, and the audit window must still
+// reach every allocated page. 64 allocated pages is the case where a
+// window keyed on the reset count aliases onto pages 0-7 forever.
+func TestSnapshotPoolAuditSweepsEveryPage(t *testing.T) {
+	p := NewSnapshotPool(DefaultConfig(), 1)
+	m := p.Get()
+	for i := 0; i < 63; i++ {
+		if tr := m.Write(m.cfg.RAMBase+Addr(i)<<dirtyPageShift, []byte{1}); tr != nil {
+			t.Fatal(tr)
+		}
+	}
+	poke(t, m, m.cfg.RAMBase+Addr(63)<<dirtyPageShift+5, 0xaa)
+	const sweep = snapshotAuditStride * (64/auditPagesPerGet + 1)
+	for i := 0; i < sweep; i++ {
+		p.Put(m)
+		if m2 := p.Get(); m2 != m {
+			if st := p.Stats(); st.Discarded != 1 {
+				t.Fatalf("pool replaced the machine without a discard: %+v", st)
+			}
+			return
+		}
+	}
+	t.Fatalf("%d recycles never audited the residue page", sweep)
 }
 
 func TestPoolStrictModeScans(t *testing.T) {
@@ -122,7 +171,7 @@ func TestPoolStrictModeScans(t *testing.T) {
 	p.Put(m)
 	// Mutate behind the tracker's back: strict verification must refuse
 	// to recycle and fall back to a fresh machine.
-	m.ram[7] = 0xff
+	poke(t, m, m.cfg.RAMBase+7, 0xff)
 	m2 := p.Get()
 	if m2 == m {
 		t.Fatal("strict pool recycled a machine with untracked residue")

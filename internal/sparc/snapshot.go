@@ -1,6 +1,9 @@
 package sparc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Snapshot is a copy-on-write image of a Machine's architectural state:
 // the contents of every page dirtied at capture time, the clock, device
@@ -39,76 +42,39 @@ type Snapshot struct {
 // contents of each dirty page, concatenated in ascending page order.
 type bankSnap struct {
 	dirty dirtySet
-	offs  []uint64 // in-bank byte offset of each captured page
-	data  []byte   // page contents, DirtyPageSize bytes per entry (last may be short)
+	pages []uint64 // index of each captured page
+	data  []byte   // page contents, DirtyPageSize bytes per entry
 }
 
 // captureBank copies the dirty pages of one bank.
-func captureBank(mem []byte, d dirtySet) bankSnap {
-	s := bankSnap{dirty: append(dirtySet(nil), d...)}
-	for wi, w := range d {
-		if w == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) == 0 {
-				continue
-			}
-			off := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-			if off >= uint64(len(mem)) {
-				continue
-			}
-			end := off + DirtyPageSize
-			if end > uint64(len(mem)) {
-				end = uint64(len(mem))
-			}
-			s.offs = append(s.offs, off)
-			s.data = append(s.data, mem[off:end]...)
-		}
-	}
+func captureBank(b *bank) bankSnap {
+	s := bankSnap{dirty: append(dirtySet(nil), b.dirty...)}
+	b.dirty.each(func(p uint64) {
+		s.pages = append(s.pages, p)
+		s.data = append(s.data, b.pages[p][:]...)
+	})
 	return s
 }
 
-// restore rewrites mem so its content equals the captured image: pages
-// dirty now but absent from the snapshot are zeroed, captured pages are
-// copied back, and the live bitmap becomes a copy of the captured one.
-// Pages dirty in neither are untouched — they are zero on both sides.
-func (s *bankSnap) restore(mem []byte, d dirtySet) {
-	for wi, w := range d {
-		stale := w &^ s.dirty[wi]
-		if stale == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if stale&(1<<b) == 0 {
-				continue
-			}
-			start := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-			if start >= uint64(len(mem)) {
-				continue
-			}
-			end := start + DirtyPageSize
-			if end > uint64(len(mem)) {
-				end = uint64(len(mem))
-			}
-			clear(mem[start:end])
+// restore rewrites the bank so its content equals the captured image:
+// pages dirty now but absent from the snapshot are zeroed in place,
+// captured pages are copied back (allocated if need be), and the live
+// bitmap becomes a copy of the captured one. Pages dirty in neither are
+// untouched — they are zero on both sides.
+func (s *bankSnap) restore(b *bank) {
+	for wi, w := range b.dirty {
+		for stale := w &^ s.dirty[wi]; stale != 0; stale &= stale - 1 {
+			clear(b.pages[uint64(wi)*64+uint64(bits.TrailingZeros64(stale))][:])
 		}
 	}
-	pos := 0
-	for _, off := range s.offs {
-		end := off + DirtyPageSize
-		if end > uint64(len(mem)) {
-			end = uint64(len(mem))
-		}
-		n := int(end - off)
-		copy(mem[off:end], s.data[pos:pos+n])
-		pos += n
+	for i, p := range s.pages {
+		copy(b.page(p)[:], s.data[i*DirtyPageSize:])
 	}
-	copy(d, s.dirty)
+	copy(b.dirty, s.dirty)
 }
 
 // Pages returns how many dirty pages the snapshot holds.
-func (s *Snapshot) Pages() int { return len(s.ram.offs) + len(s.io.offs) }
+func (s *Snapshot) Pages() int { return len(s.ram.pages) + len(s.io.pages) }
 
 // Config returns the memory layout the snapshot was captured under.
 func (s *Snapshot) Config() Config { return s.cfg }
@@ -142,8 +108,8 @@ func (m *Machine) Snapshot() *Snapshot {
 		reads:       m.reads,
 		writes:      m.writes,
 		trapsRaised: m.trapsRaised,
-		ram:         captureBank(m.ram, m.dirtyRAM),
-		io:          captureBank(m.io, m.dirtyIO),
+		ram:         captureBank(&m.ram),
+		io:          captureBank(&m.io),
 	}
 }
 
@@ -152,9 +118,9 @@ func (m *Machine) Snapshot() *Snapshot {
 // captured values, in O(pages dirtied since the capture + pages in the
 // image). Crashed machines restore like any other — rewinding past the
 // crash is the point (the inject composite recycles its slot this way
-// between a crashed leg and the next). Only the reset counter survives,
-// incremented like a Reset so the page-audit window keeps rotating
-// across recycles. Restoring a snapshot of a different memory layout is
+// between a crashed leg and the next). Only the reset and audit counters
+// and the parked value survive, the reset counter incremented like a
+// Reset. Restoring a snapshot of a different memory layout is
 // refused.
 func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	if s == nil {
@@ -163,8 +129,8 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	if m.cfg != s.cfg {
 		return fmt.Errorf("sparc: snapshot layout %+v does not match machine layout %+v", s.cfg, m.cfg)
 	}
-	s.ram.restore(m.ram, m.dirtyRAM)
-	s.io.restore(m.io, m.dirtyIO)
+	s.ram.restore(&m.ram)
+	s.io.restore(&m.io)
 	m.now = s.now
 	m.timers = s.timers
 	m.irqc = s.irqc

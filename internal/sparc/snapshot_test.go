@@ -157,7 +157,7 @@ func TestSnapshotPoolStrictModeScans(t *testing.T) {
 	// Mutate behind the tracker's back: the restore rides the dirty
 	// bitmaps and cannot see this, so strict verification must refuse
 	// the recycle and fall back to a fresh machine.
-	m.ram[7] = 0xff
+	poke(t, m, m.Config().RAMBase+7, 0xff)
 	m2 := p.Get()
 	if m2 == m {
 		t.Fatal("strict snapshot pool recycled a machine with untracked residue")

@@ -2,7 +2,6 @@ package target
 
 import (
 	"fmt"
-	"sync"
 
 	"xmrobust/internal/cover"
 	"xmrobust/internal/dict"
@@ -24,12 +23,14 @@ func init() {
 		})
 }
 
-// Sim is the simulation backend: every test packs a fresh testbed onto a
-// simulated LEON3 machine (recycled through a pool unless
+// Sim is the simulation backend: every test boots a fresh incarnation of
+// the testbed on a simulated LEON3 machine (recycled through a pool unless
 // Config.FreshMachines — the copy-on-write SnapshotPool by default, the
 // reset-and-verify MachinePool under Config.LegacyPool) and runs the TSP
 // system for the selected number of cyclic schedules — the paper's
-// execution environment.
+// execution environment. Pooled machines keep their testbed kernel
+// between tests and recycle it in place; FreshMachines builds machine
+// and kernel anew for every test.
 type Sim struct {
 	cfg      Config
 	pool     sparc.Pool
@@ -38,14 +39,6 @@ type Sim struct {
 	// mRestores counts in-slot snapshot restores (batch rewinds and
 	// composite-leg recycles); nil when obs is off.
 	mRestores *obs.Counter
-
-	// kernels parks each pooled machine's recycled testbed kernel between
-	// batch leases, so system construction amortises across a campaign
-	// rather than per lease. A parked kernel is always dirty — ExecuteBatch
-	// recycles it before first use, the same in-place reset it applies
-	// between the lease's own tests.
-	mu      sync.Mutex
-	kernels map[*sparc.Machine]*xm.Kernel
 }
 
 // NewSim builds the simulation backend.
@@ -159,37 +152,28 @@ func (s *Sim) Release(slot Slot) {
 	}
 }
 
-// takeKernel claims the kernel parked for m, removing it from the cache.
-// It returns nil when no kernel is parked (a fresh or replaced machine).
-func (s *Sim) takeKernel(m *sparc.Machine) *xm.Kernel {
+// takeKernel claims the kernel parked on m (see sparc.Machine.Park). It
+// returns nil when none is parked (a fresh or replaced machine).
+func takeKernel(m *sparc.Machine) *xm.Kernel {
 	if m == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := s.kernels[m]
-	if k != nil {
-		delete(s.kernels, m)
-	}
+	k, _ := m.Unpark().(*xm.Kernel)
 	return k
 }
 
-// parkKernel caches m's kernel for the machine's next lease. Machines the
-// pool has discarded leave dead entries behind; the cap bounds that drift
-// by restarting the cache, which only costs the next few leases a rebuild.
-func (s *Sim) parkKernel(m *sparc.Machine, k *xm.Kernel) {
+// parkKernel parks k on m for the machine's next lease. The kernel lives
+// exactly as long as the machine, so a machine the pool drops takes its
+// kernel with it. A crashed machine's kernel is not parked: Release is
+// about to discard the machine.
+func parkKernel(m *sparc.Machine, k *xm.Kernel) {
 	if m == nil || k == nil {
 		return
 	}
-	s.mu.Lock()
-	if len(s.kernels) >= 32 {
-		s.kernels = nil
+	if crashed, _ := m.Crashed(); crashed {
+		return
 	}
-	if s.kernels == nil {
-		s.kernels = make(map[*sparc.Machine]*xm.Kernel)
-	}
-	s.kernels[m] = k
-	s.mu.Unlock()
+	m.Park(k)
 }
 
 // PoolStats reports the machine-pool counters (zero when pooling is off).
@@ -218,24 +202,35 @@ func machineOf(slot Slot) *sparc.Machine {
 // — and the testbed kernel is recycled in place rather than rebuilt, so
 // both the per-test verification baseline and the system construction
 // cost amortise across the lease. Every test still boots a fresh
-// incarnation from power-on state: results are byte-identical to a loop
-// of Execute calls. A machine the in-slot rewind cannot certify is
-// replaced through the pool, exactly as a round-trip would have
-// replaced it, and the recycled kernel is re-pointed at the
-// replacement.
+// incarnation from power-on state: results are byte-identical to
+// building a fresh system per test on a fresh machine (the
+// FreshMachines path, which tests keep as the reference). A machine the
+// in-slot rewind cannot certify is replaced through the pool, exactly as
+// a round-trip would have replaced it, and the recycled kernel is
+// re-pointed at the replacement.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
-	if sl == nil || sl.m == nil || s.pool == nil {
+	if !s.pooled(sl) {
 		// No leased machine to rewind (pooling off, or a foreign slot):
-		// fall back to the single-test path per dataset.
+		// build a fresh system per dataset.
 		for i, ds := range batch {
-			out[i] = s.Execute(slot, ds, spec)
+			out[i] = s.executeFresh(machineOf(slot), ds, spec)
 		}
 		return out
 	}
-	k := s.takeKernel(sl.m) // parked dirty: recycled below before use
-	var opts []xm.Option    // rebuilt only when the machine or sink changes
+	s.lease(sl, batch, spec, out)
+	return out
+}
+
+// pooled reports whether sl holds a pooled machine a lease can rewind.
+func (s *Sim) pooled(sl *simSlot) bool { return sl != nil && sl.m != nil && s.pool != nil }
+
+// lease executes batch on the pooled slot sl into out, recycling the
+// machine's parked kernel (see ExecuteBatch).
+func (s *Sim) lease(sl *simSlot, batch []testgen.Dataset, spec RunSpec, out []Result) {
+	k := takeKernel(sl.m) // parked dirty: recycled below before use
+	var opts []xm.Option  // rebuilt only when the machine or sink changes
 	for i, ds := range batch {
 		if i > 0 {
 			sl.snap = nil
@@ -246,7 +241,7 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 				sl.m = s.pool.Get()
 				opts = nil
 				if k == nil {
-					k = s.takeKernel(sl.m)
+					k = takeKernel(sl.m)
 				}
 			}
 		}
@@ -274,8 +269,7 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 		}
 		out[i] = s.runOn(k, cov, ds, spec)
 	}
-	s.parkKernel(sl.m, k)
-	return out
+	parkKernel(sl.m, k)
 }
 
 // sysOptions assembles the construction (or recycle) options for one
@@ -337,13 +331,27 @@ func (p *testProg) Step(env xm.Env) bool {
 // into the dataset's phantom state (when it names one — §V extension),
 // arm the fault placeholder in the FDIR partition, run the observation
 // frames and harvest the log. The machine in the slot must be in its
-// power-on state; the reset-and-verify pool guarantees that.
+// power-on state; the pool guarantees that. On a pooled slot the test
+// runs as a one-dataset ExecuteBatch lease, recycling the machine's
+// parked kernel instead of rebuilding the testbed; without pooling it
+// builds a fresh system.
 func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
+	if sl, _ := slot.(*simSlot); s.pooled(sl) {
+		var out [1]Result
+		s.lease(sl, []testgen.Dataset{ds}, spec, out[:])
+		return out[0]
+	}
+	return s.executeFresh(machineOf(slot), ds, spec)
+}
+
+// executeFresh builds a fresh testbed system on m (a machine of its own
+// when m is nil) and runs one dataset on it.
+func (s *Sim) executeFresh(m *sparc.Machine, ds testgen.Dataset, spec RunSpec) Result {
 	var cov *cover.Map
 	if spec.Coverage {
 		cov = &cover.Map{}
 	}
-	k, err := eagleeye.NewSystem(s.sysOptions(machineOf(slot), spec, cov)...)
+	k, err := eagleeye.NewSystem(s.sysOptions(m, spec, cov)...)
 	if err != nil {
 		return Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
 	}

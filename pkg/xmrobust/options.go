@@ -173,12 +173,14 @@ func WithShards(n int) Option { return func(c *config) { c.eng.Shards = n } }
 func WithFreshMachines() Option { return func(c *config) { c.eng.FreshMachines = true } }
 
 // WithBatchSize leases contiguous runs of n tests to each engine worker
-// on targets that batch (the sim backend): the machine rewinds through a
-// copy-on-write snapshot and the testbed kernel recycles in place
-// between the lease's tests, amortising per-test setup across the run.
-// Results are byte-identical to unbatched execution — the capability's
-// contract, pinned by the engine's batching tests. Targets without the
-// capability and feedback-driven plans ignore it.
+// on targets that batch (the sim backend): the machine rewinds in-slot
+// through a copy-on-write snapshot between the lease's tests instead of
+// going back through the pool, amortising slot acquisition across the
+// run. The testbed kernel recycles in place with or without batching —
+// unbatched tests are one-test leases. Results are byte-identical to
+// unbatched execution — the capability's contract, pinned by the
+// engine's batching tests. Targets without the capability and
+// feedback-driven plans ignore it.
 func WithBatchSize(n int) Option { return func(c *config) { c.eng.BatchSize = n } }
 
 // WithSnapshotPool selects the copy-on-write snapshot recycler for the

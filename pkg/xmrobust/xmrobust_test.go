@@ -2,6 +2,8 @@ package xmrobust_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -52,6 +54,49 @@ func TestGoldenFacadeMatchesCampaignRun(t *testing.T) {
 	// before the target layer existed.
 	if bytes.Contains(got.Bytes(), []byte(`"target"`)) {
 		t.Fatal("sim records carry an explicit target field, breaking pre-target-layer log compatibility")
+	}
+}
+
+// TestGoldenMergedLogHashes pins the merged campaign logs of four
+// fixed-seed checkpointed campaigns — what `xmfuzz -stream DIR -o FILE`
+// writes — to their sha256. The hashes were recorded from the
+// build-a-testbed-per-test execution path; they hold the simulator, the
+// machine pool and kernel recycling to those exact bytes. A changed hash
+// means a campaign's results changed: update it only for an intended
+// change of behaviour.
+func TestGoldenMergedLogHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four full campaigns")
+	}
+	for _, tc := range []struct {
+		name string
+		opts []xmrobust.Option
+		sha  string
+	}{
+		{"rand:300 -seed 5",
+			[]xmrobust.Option{xmrobust.WithPlan("rand:300"), xmrobust.WithSeed(5)},
+			"1885ab3be5523bd5fb2efc9cf9c52bd666bb1b0e855a78c25b410367b1400dbe"},
+		{"feedback:200 -seed 3",
+			[]xmrobust.Option{xmrobust.WithPlan("feedback:200"), xmrobust.WithSeed(3)},
+			"d6c3d060e9b4add243bca15ab751a0a400a1b206fe0eab5e442344b428383416"},
+		{"rand:200 -seed 2 -target inject:sim",
+			[]xmrobust.Option{xmrobust.WithPlan("rand:200"), xmrobust.WithSeed(2), xmrobust.WithTarget("inject:sim")},
+			"7f842e226d40819b2afc6ac45749aaba9bc73eacafb5c73f04974592eb4ef6d1"},
+		{"rand:150 -seed 4 -stress -mafs 3",
+			[]xmrobust.Option{xmrobust.WithPlan("rand:150"), xmrobust.WithSeed(4), xmrobust.WithStress(), xmrobust.WithMAFs(3)},
+			"b72dcaff90a5106b55fa698aaf530a4fcea0a30e1a01c6caab0ae6c8d6ad3307"},
+	} {
+		rep, err := xmrobust.Run(append(tc.opts, xmrobust.WithCheckpoint(t.TempDir()))...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := sha256.New()
+		if _, err := rep.WriteLog(h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha {
+			t.Errorf("%s: merged log sha256 %s, want %s", tc.name, got, tc.sha)
+		}
 	}
 }
 
