@@ -154,12 +154,16 @@ daemon-smoke:
 	$(GO) test -race -count 1 -run TestDaemonSmoke ./cmd/xmrobustd
 	$(GO) test -race -count 1 ./internal/serve
 
-# A short fuzz run over the codec round-trip property (raw and json
-# codecs must agree byte for byte on arbitrary records): long enough to
-# shake out encoding regressions, short enough for every CI run. The
-# corpus under internal/campaign/testdata stays checked in. CI runs this.
+# Two short fuzz runs: the codec round-trip property (raw and json
+# codecs must agree byte for byte on arbitrary records), then the remote
+# wire's frame decoders (worker requests and client responses must
+# refuse malformed frames without panicking and round-trip valid ones).
+# Long enough to shake out encoding regressions, short enough for every
+# CI run. The corpus under internal/campaign/testdata stays checked in.
+# CI runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRecordRoundTrip$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/remote
 
 # The invariant lint suite: cmd/xmlint is a go vet tool (see
 # internal/lint) checking determinism, obsnil, registry and seqfield.

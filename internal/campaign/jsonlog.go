@@ -171,14 +171,12 @@ func (s *recordScratch) toRecord(seq int, r Result) JSONRecord {
 // records of hypercalls absent from the spec keep a bare function so
 // harness-error records still classify.
 func (rec JSONRecord) Result(h *apispec.Header) (Result, error) {
-	if h == nil {
-		h = apispec.Default()
-	}
-	f, ok := h.Function(rec.Func)
-	if !ok {
-		f = apispec.Function{Name: rec.Func}
+	ds, err := rec.TestDataset(h)
+	if err != nil {
+		return Result{}, err
 	}
 	r := Result{
+		Dataset:       ds,
 		Target:        rec.Target,
 		TestPartition: rec.TestPart,
 		Invocations:   rec.Invocations,
@@ -206,23 +204,9 @@ func (rec JSONRecord) Result(h *apispec.Header) (Result, error) {
 	if ps, ok := xm.ParsePState(rec.PartState); ok {
 		r.PartState = ps
 	}
-	values := make([]dict.Value, len(rec.Dataset))
-	for i, raw := range rec.Dataset {
-		v := dict.Value{Raw: raw}
-		if i < len(rec.Descs) {
-			v.Desc = rec.Descs[i]
-		}
-		if i < len(rec.Validity) {
-			val, err := dict.ParseValidity(rec.Validity[i])
-			if err != nil {
-				return Result{}, fmt.Errorf("campaign: record seq %d: %w", rec.Seq, err)
-			}
-			v.Validity = val
-		}
-		values[i] = v
+	for _, v := range ds.Values {
 		r.Resolved = append(r.Resolved, dict.Resolved{Value: v})
 	}
-	r.Dataset = testgen.Dataset{Func: f, Index: rec.Seq, Values: values, State: rec.State}
 	for _, rc := range rec.Returns {
 		r.Returns = append(r.Returns, xm.RetCode(rc))
 	}
@@ -237,6 +221,38 @@ func (rec JSONRecord) Result(h *apispec.Header) (Result, error) {
 		r.Cover = cover.FromSites(rec.Cover)
 	}
 	return r, nil
+}
+
+// TestDataset rebuilds the inputs of the test a record logs: the
+// hypercall, resolved against h by name (default spec when nil; a bare
+// function when the spec does not know it), the dataset values with
+// their descriptions and validity hints, the campaign position (Seq)
+// and the system state. It reads only Func, Seq, State, Dataset, Descs
+// and Validity — the fields a remote lease carries.
+func (rec *JSONRecord) TestDataset(h *apispec.Header) (testgen.Dataset, error) {
+	if h == nil {
+		h = apispec.Default()
+	}
+	f, ok := h.Function(rec.Func)
+	if !ok {
+		f = apispec.Function{Name: rec.Func}
+	}
+	values := make([]dict.Value, len(rec.Dataset))
+	for i, raw := range rec.Dataset {
+		v := dict.Value{Raw: raw}
+		if i < len(rec.Descs) {
+			v.Desc = rec.Descs[i]
+		}
+		if i < len(rec.Validity) {
+			val, err := dict.ParseValidity(rec.Validity[i])
+			if err != nil {
+				return testgen.Dataset{}, fmt.Errorf("campaign: record seq %d: %w", rec.Seq, err)
+			}
+			v.Validity = val
+		}
+		values[i] = v
+	}
+	return testgen.Dataset{Func: f, Index: rec.Seq, Values: values, State: rec.State}, nil
 }
 
 // WriteJSON streams the campaign log as JSON Lines: one self-contained

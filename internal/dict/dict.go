@@ -95,25 +95,28 @@ const (
 
 // IsSymbol reports whether the value is a symbolic token (vs a literal).
 func (v Value) IsSymbol() bool {
-	_, err := parseLiteral(v.Raw)
-	return err != nil
+	_, ok := parseLiteral(v.Raw)
+	return !ok
 }
 
 // parseLiteral parses a decimal/hex literal into its 64-bit ABI image.
-// Negative literals are sign-extended two's complement.
-func parseLiteral(s string) (uint64, error) {
+// Negative literals are sign-extended two's complement. It runs for
+// every value a campaign resolves, so a symbolic token is turned away
+// on its first byte, before strconv would allocate an error for it:
+// with base 0, ParseUint and ParseInt accept only input that starts
+// with an ASCII digit after the optional '-'.
+func parseLiteral(s string) (uint64, bool) {
 	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, fmt.Errorf("dict: empty value")
+	digits := strings.TrimPrefix(t, "-")
+	if digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
 	}
-	if strings.HasPrefix(t, "-") {
+	if len(digits) < len(t) {
 		v, err := strconv.ParseInt(t, 0, 64)
-		if err != nil {
-			return 0, err
-		}
-		return uint64(v), nil
+		return uint64(v), err == nil
 	}
-	return strconv.ParseUint(t, 0, 64)
+	v, err := strconv.ParseUint(t, 0, 64)
+	return v, err == nil
 }
 
 // String renders the value with its description, as campaign logs show it.

@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,64 @@ func TestIsSymbol(t *testing.T) {
 	}
 	if !(Value{Raw: SymValid}).IsSymbol() {
 		t.Error("VALID is not a symbol")
+	}
+}
+
+// strconvLiteral is the literal parser before the first-byte shortcut:
+// strconv alone decides. parseLiteral must agree with it on every input.
+func strconvLiteral(s string) (uint64, bool) {
+	t := strings.TrimSpace(s)
+	if strings.HasPrefix(t, "-") {
+		v, err := strconv.ParseInt(t, 0, 64)
+		return uint64(v), err == nil
+	}
+	v, err := strconv.ParseUint(t, 0, 64)
+	return v, err == nil
+}
+
+// TestParseLiteralMatchesStrconv: skipping strconv for input that cannot
+// be a literal changes no resolution — neither of a built-in dictionary
+// value nor of the prefix, sign and separator edge cases.
+func TestParseLiteralMatchesStrconv(t *testing.T) {
+	inputs := []string{
+		"", " ", "-", "--1", "+1", "0x", "-0x", "0b1", "0o17", "017", "1_0", "_1",
+		"-0x8000000000000000", "-0x8000000000000001", "0xFFFFFFFFFFFFFFFF",
+		"18446744073709551616", " 42 ", "- 1", "x1", "NULL", "VALID_MID",
+	}
+	d := Builtin()
+	for _, ts := range d.Types() {
+		for _, v := range ts.Values {
+			inputs = append(inputs, v.Raw)
+		}
+	}
+	for _, ns := range d.NamedSets() {
+		for _, v := range ns.Values {
+			inputs = append(inputs, v.Raw)
+		}
+	}
+	l := testLayout()
+	for _, in := range inputs {
+		bits, ok := parseLiteral(in)
+		wantBits, wantOK := strconvLiteral(in)
+		if ok != wantOK || (ok && bits != wantBits) {
+			t.Errorf("parseLiteral(%q) = %#x, %v; strconv says %#x, %v", in, bits, ok, wantBits, wantOK)
+		}
+		if sym := (Value{Raw: in}).IsSymbol(); sym == wantOK {
+			t.Errorf("IsSymbol(%q) = %v", in, sym)
+		}
+		r, err := l.Resolve(Value{Raw: in})
+		if wantOK && (err != nil || r.Bits != wantBits) {
+			t.Errorf("Resolve(%q) = %#x, %v; want %#x", in, r.Bits, err, wantBits)
+		}
+	}
+}
+
+// TestIsSymbolAllocationFree: a symbolic token is classified without
+// strconv building an error for it.
+func TestIsSymbolAllocationFree(t *testing.T) {
+	v := Value{Raw: SymNull}
+	if n := testing.AllocsPerRun(100, func() { v.IsSymbol() }); n != 0 {
+		t.Errorf("IsSymbol(%q) allocates %v times per call, want 0", v.Raw, n)
 	}
 }
 

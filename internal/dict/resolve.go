@@ -27,7 +27,7 @@ type Resolved struct {
 // Resolve fixes a value against the layout. Literals pass through;
 // symbolic tokens become the corresponding address.
 func (l Layout) Resolve(v Value) (Resolved, error) {
-	if bits, err := parseLiteral(v.Raw); err == nil {
+	if bits, ok := parseLiteral(v.Raw); ok {
 		return Resolved{Value: v, Bits: bits}, nil
 	}
 	var addr sparc.Addr

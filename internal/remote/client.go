@@ -1,7 +1,7 @@
 package remote
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -91,14 +91,24 @@ type workerConn struct {
 	addr        string
 	helloTarget string // target spec the worker's hello advertised
 	conn        net.Conn
+	br          *bufio.Reader // every read after the dial goes through it
 	window      chan struct{}
 	met         *obs.RemoteMetrics // never nil; nil handles when obs off
 
 	wmu sync.Mutex // frame writes interleave frames, never bytes
 
 	pmu     sync.Mutex
-	pending map[uint64]chan []byte
+	pending map[uint64]chan response
 	downErr error
+}
+
+// response is one response frame, its header parsed by the read loop.
+// body aliases *buf, a pooled frame buffer the receiver returns once it
+// has decoded the records.
+type response struct {
+	hdr  respHeader
+	body []byte
+	buf  *[]byte
 }
 
 func newClient(arg string, cfg target.Config) (*client, error) {
@@ -193,15 +203,25 @@ func (c *client) ExecuteBatch(_ target.Slot, batch []testgen.Dataset, spec targe
 // exec round-trips one lease, handing it to the next worker on every
 // transport failure until a response lands or the attempt budget is
 // spent (then every test fails with RunErr — the campaign completes and
-// classifies the outage instead of hanging).
+// classifies the outage instead of hanging). The request frame is built
+// once; each attempt only stamps a fresh ID into it.
 func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Result {
-	req := execRequest{Spec: specToWire(spec)}
-	for _, ds := range batch {
-		// The dataset's Index is its global campaign position — plans and
-		// slices both key it that way — so the worker's records come back
-		// already carrying the right seq.
-		req.Tests = append(req.Tests, testToWire(ds.Index, ds))
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	frame, err := appendLease(newFrame(*bp), batch, specToWire(spec), c.codec)
+	*bp = frame
+	if err == nil {
+		err = sealFrame(frame)
 	}
+	if err != nil {
+		return errResults(batch, err)
+	}
+	return c.execFrame(frame, batch)
+}
+
+// execFrame sends a sealed request frame for batch until a response
+// lands, and decodes it.
+func (c *client) execFrame(frame []byte, batch []testgen.Dataset) []target.Result {
 	var lastErr error
 	for attempt := 0; attempt < execAttempts; attempt++ {
 		if err := c.ctx.Err(); err != nil {
@@ -217,9 +237,10 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 			time.Sleep(backoff(attempt))
 			continue
 		}
-		req.ID = c.nextID.Add(1)
-		payload, err := wc.roundTrip(c.ctx, req.ID, encodeJSON(req))
-		if c.ctx.Err() != nil && payload == nil {
+		id := c.nextID.Add(1)
+		setFrameID(frame, id)
+		resp, err := wc.roundTrip(c.ctx, id, frame)
+		if c.ctx.Err() != nil && resp.buf == nil {
 			return abortedResults(batch, c.ctx.Err())
 		}
 		if errors.Is(err, errConnDown) {
@@ -233,13 +254,23 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 		if err != nil {
 			return errResults(batch, err)
 		}
-		results, err := c.decodeResults(payload, batch)
+		results, err := c.decode(resp, len(batch))
+		putFrameBuf(resp.buf)
 		if err != nil {
 			return errResults(batch, err)
 		}
 		return results
 	}
 	return errResults(batch, lastErr)
+}
+
+// decode turns a response to a lease of n tests back into execution
+// logs, in lease order.
+func (c *client) decode(resp response, n int) ([]target.Result, error) {
+	if resp.hdr.Err == "" && resp.hdr.N != n {
+		return nil, fmt.Errorf("remote: worker returned %d records for a lease of %d", resp.hdr.N, n)
+	}
+	return decodeResults(resp.hdr, resp.body, c.header, c.codec)
 }
 
 // pick returns a live connection, round-robin across the fleet,
@@ -300,7 +331,8 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	payload, err := ReadFrame(conn)
+	br := bufio.NewReader(conn)
+	payload, err := ReadFrame(br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("remote: %s: no hello: %w", addr, err)
@@ -319,9 +351,10 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 		addr:        addr,
 		helloTarget: hello.Target,
 		conn:        conn,
+		br:          br,
 		window:      make(chan struct{}, inflightWindow),
 		met:         met,
-		pending:     map[uint64]chan []byte{},
+		pending:     map[uint64]chan response{},
 	}
 	go wc.readLoop()
 	return wc, nil
@@ -363,41 +396,43 @@ func (wc *workerConn) fail(err error) {
 // readLoop demultiplexes response frames to their waiting round trips.
 func (wc *workerConn) readLoop() {
 	for {
-		payload, err := ReadFrame(wc.conn)
+		bp := getFrameBuf()
+		payload, err := readFrame(wc.br, *bp)
 		if err != nil {
+			putFrameBuf(bp)
 			wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
 			return
 		}
+		*bp = payload
 		wc.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
-		line := payload
-		if i := bytes.IndexByte(payload, '\n'); i >= 0 {
-			line = payload[:i]
-		}
-		var hdr respHeader
-		if err := json.Unmarshal(line, &hdr); err != nil {
-			wc.fail(fmt.Errorf("%w: %s: bad response header: %v", errConnDown, wc.addr, err))
+		hdr, body, err := parseResponse(payload)
+		if err != nil {
+			putFrameBuf(bp)
+			wc.fail(fmt.Errorf("%w: %s: bad response: %v", errConnDown, wc.addr, err))
 			return
 		}
 		wc.pmu.Lock()
 		ch := wc.pending[hdr.ID]
 		delete(wc.pending, hdr.ID)
 		wc.pmu.Unlock()
-		if ch != nil {
-			ch <- payload
+		if ch == nil {
+			putFrameBuf(bp) // abandoned round trip
+			continue
 		}
+		ch <- response{hdr: hdr, body: body, buf: bp}
 	}
 }
 
-// roundTrip sends one request frame and waits for its response payload,
-// respecting the in-flight window. errConnDown failures are retryable
-// on another connection; a done ctx abandons the wait (the connection
-// stays healthy — the worker's eventual response is dropped by the
-// demultiplexer, whose pending entry is removed here).
-func (wc *workerConn) roundTrip(ctx context.Context, id uint64, frame []byte) ([]byte, error) {
+// roundTrip sends one sealed request frame carrying id and waits for
+// its response, respecting the in-flight window. errConnDown failures
+// are retryable on another connection; a done ctx abandons the wait
+// (the connection stays healthy — the worker's eventual response is
+// dropped by the demultiplexer, whose pending entry is removed here).
+func (wc *workerConn) roundTrip(ctx context.Context, id uint64, frame []byte) (response, error) {
 	select {
 	case wc.window <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return response{}, ctx.Err()
 	}
 	wc.met.Inflight.Add(1)
 	defer func() {
@@ -405,80 +440,41 @@ func (wc *workerConn) roundTrip(ctx context.Context, id uint64, frame []byte) ([
 		<-wc.window
 	}()
 
-	ch := make(chan []byte, 1)
+	ch := make(chan response, 1)
 	wc.pmu.Lock()
 	if wc.downErr != nil {
 		err := wc.downErr
 		wc.pmu.Unlock()
-		return nil, err
+		return response{}, err
 	}
 	wc.pending[id] = ch
 	wc.pmu.Unlock()
 
 	wc.wmu.Lock()
-	err := WriteFrame(wc.conn, frame)
+	_, err := wc.conn.Write(frame)
 	wc.wmu.Unlock()
-	if err == nil {
-		wc.met.WireTx.Add(uint64(len(frame)) + frameOverhead)
-	}
 	if err != nil {
-		wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
-		return nil, fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err)
+		err = fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err)
+		wc.fail(err)
+		return response{}, err
 	}
+	wc.met.WireTx.Add(uint64(len(frame)))
 
 	select {
-	case payload, ok := <-ch:
+	case resp, ok := <-ch:
 		if !ok {
 			wc.pmu.Lock()
 			err := wc.downErr
 			wc.pmu.Unlock()
-			return nil, err
+			return response{}, err
 		}
-		return payload, nil
+		return resp, nil
 	case <-ctx.Done():
 		wc.pmu.Lock()
 		delete(wc.pending, id)
 		wc.pmu.Unlock()
-		return nil, ctx.Err()
+		return response{}, ctx.Err()
 	}
-}
-
-// decodeResults turns a response payload back into execution logs, in
-// lease order.
-func (c *client) decodeResults(payload []byte, batch []testgen.Dataset) ([]target.Result, error) {
-	i := bytes.IndexByte(payload, '\n')
-	if i < 0 {
-		return nil, fmt.Errorf("remote: response without header line")
-	}
-	var hdr respHeader
-	if err := json.Unmarshal(payload[:i], &hdr); err != nil {
-		return nil, fmt.Errorf("remote: bad response header: %w", err)
-	}
-	if hdr.Err != "" {
-		return nil, fmt.Errorf("remote: worker refused lease: %s", hdr.Err)
-	}
-	if hdr.N != len(batch) {
-		return nil, fmt.Errorf("remote: worker returned %d records for a lease of %d", hdr.N, len(batch))
-	}
-	results := make([]target.Result, 0, len(batch))
-	rest := payload[i+1:]
-	for len(results) < hdr.N {
-		j := bytes.IndexByte(rest, '\n')
-		if j < 0 {
-			return nil, fmt.Errorf("remote: response truncated at record %d", len(results))
-		}
-		var rec campaign.JSONRecord
-		if err := c.codec.Decode(rest[:j+1], &rec); err != nil {
-			return nil, fmt.Errorf("remote: record %d: %w", len(results), err)
-		}
-		r, err := rec.Result(c.header)
-		if err != nil {
-			return nil, fmt.Errorf("remote: record %d: %w", len(results), err)
-		}
-		results = append(results, r)
-		rest = rest[j+1:]
-	}
-	return results, nil
 }
 
 // abortedResults marks every test of a cancelled lease Aborted — the

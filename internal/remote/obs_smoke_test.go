@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/inject"
 	"xmrobust/internal/obs"
@@ -258,8 +259,16 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if _, err := ReadFrame(conn); err != nil { // hello
 		t.Fatal(err)
 	}
-	req := execRequest{ID: 7, Tests: []wireTest{{Pos: 0, Func: "XM_get_time"}}}
-	if err := WriteFrame(conn, encodeJSON(req)); err != nil {
+	lease := []testgen.Dataset{{Func: apispec.Function{Name: "XM_get_time"}}}
+	frame, err := appendLease(newFrame(nil), lease, wireSpec{}, rawCodec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setFrameID(frame, 7)
+	if err := sealFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	<-backend.started
@@ -287,9 +296,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-flight response lost in shutdown: %v", err)
 	}
-	var hdr respHeader
-	head, _, _ := bytes.Cut(payload, []byte("\n"))
-	if err := json.Unmarshal(head, &hdr); err != nil {
+	hdr, _, err := parseResponse(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if hdr.ID != 7 || hdr.Err != "" || hdr.N != 1 {

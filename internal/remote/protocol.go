@@ -2,21 +2,39 @@
 // target behind a TCP connection (Server, served by cmd/xmworker) and
 // registers the "remote:<addr>[,<addr>...]" campaign backend that fans
 // leases across those workers (client.go). The wire carries what the
-// execution seam already made serialisable — datasets ship as resolved
-// dict values, results return as campaign-log records through the raw
-// codec — so a remote campaign's merged log is byte-identical to the
-// same campaign executed in-process: the record round-trip is a fixed
-// point (see FuzzJSONRecordRoundTrip) and duplicated executions dedupe
-// by seq at merge time.
+// execution seam already made serialisable — leases ship as the input
+// fields of campaign-log records, results return as whole campaign-log
+// records, both through the raw codec — so a remote campaign's merged
+// log is byte-identical to the same campaign executed in-process: the
+// record round-trip is a fixed point (see FuzzJSONRecordRoundTrip) and
+// duplicated executions dedupe by seq at merge time.
+//
+// Every frame is a 4-byte big-endian payload length and the payload.
+// The first frame on a connection is the worker's JSON hello. After it,
+// a request payload is a binary request header followed by one record
+// line per test; a response payload is a binary response header
+// followed by one record line per result:
+//
+//	request:  ID u64 | N u32 | MAFs i32 | flags u8 | N record lines
+//	response: ID u64 | N u32 | len(err) u32 | err  | N record lines
+//
+// A request record line holds only a test's inputs (seq, func, state,
+// dataset, descs, validity); the flag byte holds the four xm.FaultSet
+// bits, Stress and Coverage.
 package remote
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sync"
 
 	"xmrobust/internal/apispec"
+	"xmrobust/internal/campaign"
 	"xmrobust/internal/dict"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -25,7 +43,7 @@ import (
 
 // ProtoVersion is the wire protocol version; both ends refuse a
 // mismatch rather than misparse each other.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // maxFrame bounds one length-prefixed frame — far above any real lease
 // but small enough that a corrupt length prefix cannot ask for the moon.
@@ -35,23 +53,63 @@ const maxFrame = 64 << 20
 // prefix), counted alongside payload bytes in the wire-byte metrics.
 const frameOverhead = 4
 
-// WriteFrame writes one length-prefixed frame: a 4-byte big-endian
-// payload length followed by the payload.
+// Header sizes: the fixed part of each binary header.
+const (
+	reqHeaderLen  = 8 + 4 + 4 + 1
+	respHeaderLen = 8 + 4 + 4
+)
+
+// Flag bits of the request header.
+const (
+	flagResetSystemModeCheck = 1 << iota
+	flagTimerMinInterval
+	flagTimerNegativeCheck
+	flagMulticallRemoved
+	flagStress
+	flagCoverage
+
+	knownFlags = 1<<iota - 1
+)
+
+// errNoID refuses a request frame too short to carry the ID a response
+// must echo.
+var errNoID = errors.New("remote: request frame too short to carry an ID")
+
+// WriteFrame writes one length-prefixed frame in a single write: a
+// 4-byte big-endian payload length followed by the payload.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	frame := append(newFrame(nil), payload...)
+	if err := sealFrame(frame); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame)
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame.
 func ReadFrame(r io.Reader) ([]byte, error) {
+	return readFrame(r, nil)
+}
+
+// newFrame starts a frame in buf: the length prefix is reserved and
+// filled by sealFrame once the payload is appended.
+func newFrame(buf []byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0)
+}
+
+// sealFrame writes the length prefix of a frame built on newFrame.
+func sealFrame(frame []byte) error {
+	n := len(frame) - frameOverhead
+	if n > maxFrame {
+		return fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// readFrame reads one frame's payload into buf's capacity, growing it
+// only when the payload does not fit.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -60,11 +118,31 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// maxPooledFrame caps the buffers framePool keeps: a rare huge lease
+// must not stay resident for the life of the process.
+const maxPooledFrame = 1 << 20
+
+// framePool recycles frame buffers on both ends of the wire: request
+// and response frames are built and read into pooled buffers, so a
+// steady stream of leases allocates none.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrameBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrame {
+		framePool.Put(bp)
+	}
 }
 
 // Hello is the first frame a worker sends on every connection: its
@@ -76,54 +154,35 @@ type Hello struct {
 	Target string `json:"target"`
 }
 
-// wireValue is one resolved dictionary value on the wire — the same
-// three fields a campaign-log record carries per parameter.
-type wireValue struct {
-	Raw      string `json:"raw"`
-	Desc     string `json:"desc,omitempty"`
-	Validity string `json:"validity,omitempty"`
-}
-
-// wireTest is one dataset to execute: its global campaign position plus
-// everything the worker needs to rebuild the testgen.Dataset. The
-// hypercall ships by name — the worker resolves the signature from its
-// spec header, exactly as the campaign-log reader does.
-type wireTest struct {
-	Pos    int         `json:"pos"`
-	Func   string      `json:"func"`
-	State  string      `json:"state,omitempty"`
-	Values []wireValue `json:"values"`
-}
-
 // wireSpec is the per-run execution parameters on the wire: the RunSpec
 // knobs that shape a log. Header and Dict stay local (datasets ship
 // resolved; the worker's spec header supplies signatures), and Inject is
 // never set at this layer — SEU composites run worker-side, inside the
 // worker's own target spec.
 type wireSpec struct {
-	Faults   xm.FaultSet `json:"faults"`
-	MAFs     int         `json:"mafs"`
-	Stress   bool        `json:"stress,omitempty"`
-	Coverage bool        `json:"coverage,omitempty"`
+	Faults   xm.FaultSet
+	MAFs     int
+	Stress   bool
+	Coverage bool
 }
 
-// execRequest is one lease on the wire: an ID for response matching
-// (connections pipeline; responses may interleave) plus the spec and
-// tests to execute.
-type execRequest struct {
-	ID    uint64     `json:"id"`
-	Spec  wireSpec   `json:"spec"`
-	Tests []wireTest `json:"tests"`
+// reqHeader is the binary header of a request frame: an ID for response
+// matching (connections pipeline; responses may interleave), the number
+// of record lines that follow, and the spec to execute them under.
+type reqHeader struct {
+	ID   uint64
+	N    int
+	Spec wireSpec
 }
 
-// respHeader is the first line of a response frame; N campaign-log
-// record lines (raw-codec JSON Lines, in request order) follow. Err is
-// set only for malformed requests — per-test failures travel inside the
-// records as RunErr, like every other harness error.
+// respHeader is the binary header of a response frame; N record lines
+// (in request order) follow. Err is set only for refused requests —
+// per-test failures travel inside the records as RunErr, like every
+// other harness error.
 type respHeader struct {
-	ID  uint64 `json:"id"`
-	N   int    `json:"n"`
-	Err string `json:"err,omitempty"`
+	ID  uint64
+	N   int
+	Err string
 }
 
 // specToWire projects a RunSpec onto the wire.
@@ -144,36 +203,200 @@ func specFromWire(ws wireSpec, h *apispec.Header, d *dict.Dictionary) target.Run
 	}
 }
 
-// testToWire projects one dataset at its campaign position onto the wire.
-func testToWire(pos int, ds testgen.Dataset) wireTest {
-	wt := wireTest{Pos: pos, Func: ds.Func.Name, State: ds.State}
-	for _, v := range ds.Values {
-		wt.Values = append(wt.Values, wireValue{Raw: v.Raw, Desc: v.Desc, Validity: v.Validity.String()})
+// flags packs the boolean knobs into the header's flag byte.
+func (ws wireSpec) flags() byte {
+	var f byte
+	for _, b := range [...]struct {
+		on  bool
+		bit byte
+	}{
+		{ws.Faults.ResetSystemModeCheck, flagResetSystemModeCheck},
+		{ws.Faults.TimerMinInterval, flagTimerMinInterval},
+		{ws.Faults.TimerNegativeCheck, flagTimerNegativeCheck},
+		{ws.Faults.MulticallRemoved, flagMulticallRemoved},
+		{ws.Stress, flagStress},
+		{ws.Coverage, flagCoverage},
+	} {
+		if b.on {
+			f |= b.bit
+		}
 	}
-	return wt
+	return f
 }
 
-// testFromWire rebuilds the dataset, resolving the hypercall signature
-// against h by name (a bare Function when the spec does not know it, the
-// campaign-log reader's lenient behaviour).
-func testFromWire(wt wireTest, h *apispec.Header) (testgen.Dataset, error) {
-	f, ok := h.Function(wt.Func)
-	if !ok {
-		f = apispec.Function{Name: wt.Func}
+// appendLease appends a request frame's payload — the header with ID 0
+// and one input record line per test — to a frame started by newFrame.
+// The dataset's Index is its global campaign position (plans and slices
+// both key it that way), so it travels as the record's seq and the
+// worker's records come back already carrying it. setFrameID stamps
+// each attempt's ID.
+func appendLease(frame []byte, batch []testgen.Dataset, ws wireSpec, codec campaign.Codec) ([]byte, error) {
+	if ws.MAFs < math.MinInt32 || ws.MAFs > math.MaxInt32 {
+		return frame, fmt.Errorf("remote: MAFs %d does not fit the request header", ws.MAFs)
 	}
-	values := make([]dict.Value, 0, len(wt.Values))
-	for _, wv := range wt.Values {
-		v := dict.Value{Raw: wv.Raw, Desc: wv.Desc}
-		if wv.Validity != "" {
-			val, err := dict.ParseValidity(wv.Validity)
-			if err != nil {
-				return testgen.Dataset{}, fmt.Errorf("remote: test %d: %w", wt.Pos, err)
-			}
-			v.Validity = val
+	frame = binary.BigEndian.AppendUint64(frame, 0)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(batch)))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(int32(ws.MAFs)))
+	frame = append(frame, ws.flags())
+	var rec campaign.JSONRecord
+	for _, ds := range batch {
+		rec.Func, rec.Seq, rec.State = ds.Func.Name, ds.Index, ds.State
+		rec.Dataset, rec.Descs, rec.Validity = rec.Dataset[:0], rec.Descs[:0], rec.Validity[:0]
+		for _, v := range ds.Values {
+			rec.Dataset = append(rec.Dataset, v.Raw)
+			rec.Descs = append(rec.Descs, v.Desc)
+			rec.Validity = append(rec.Validity, v.Validity.String())
 		}
-		values = append(values, v)
+		var err error
+		if frame, err = codec.AppendEncode(frame, &rec); err != nil {
+			return frame, err
+		}
+		frame = append(frame, '\n')
 	}
-	return testgen.Dataset{Func: f, Index: wt.Pos, Values: values, State: wt.State}, nil
+	return frame, nil
+}
+
+// setFrameID stamps a request ID into a frame built by appendLease.
+func setFrameID(frame []byte, id uint64) {
+	binary.BigEndian.PutUint64(frame[frameOverhead:], id)
+}
+
+// parseRequest splits a request payload into its header and the record
+// lines that follow. The returned header carries the request's ID
+// whenever the payload holds one — also on refusal, so the refusal can
+// answer the lease it refuses.
+func parseRequest(p []byte) (reqHeader, []byte, error) {
+	var h reqHeader
+	if len(p) < 8 {
+		return h, nil, errNoID
+	}
+	h.ID = binary.BigEndian.Uint64(p)
+	if len(p) < reqHeaderLen {
+		return h, nil, fmt.Errorf("remote: request header of %d bytes, want %d", len(p), reqHeaderLen)
+	}
+	n := binary.BigEndian.Uint32(p[8:])
+	body := p[reqHeaderLen:]
+	if uint64(n) > uint64(len(body)) {
+		return h, nil, fmt.Errorf("remote: request declares %d records in %d bytes", n, len(body))
+	}
+	f := p[16]
+	if f&^knownFlags != 0 {
+		return h, nil, fmt.Errorf("remote: request sets unknown flag bits %#02x", f&^knownFlags)
+	}
+	h.N = int(n)
+	h.Spec = wireSpec{
+		Faults: xm.FaultSet{
+			ResetSystemModeCheck: f&flagResetSystemModeCheck != 0,
+			TimerMinInterval:     f&flagTimerMinInterval != 0,
+			TimerNegativeCheck:   f&flagTimerNegativeCheck != 0,
+			MulticallRemoved:     f&flagMulticallRemoved != 0,
+		},
+		MAFs:     int(int32(binary.BigEndian.Uint32(p[12:]))),
+		Stress:   f&flagStress != 0,
+		Coverage: f&flagCoverage != 0,
+	}
+	return h, body, nil
+}
+
+// decodeLease rebuilds the n datasets of a request body, resolving each
+// hypercall against h. The body must hold exactly n record lines.
+func decodeLease(body []byte, n int, h *apispec.Header, codec campaign.Codec) ([]testgen.Dataset, error) {
+	datasets := make([]testgen.Dataset, 0, n)
+	var rec campaign.JSONRecord
+	err := eachLine(body, n, func(line []byte) error {
+		if err := codec.Decode(line, &rec); err != nil {
+			return err
+		}
+		ds, err := rec.TestDataset(h)
+		datasets = append(datasets, ds)
+		return err
+	})
+	return datasets, err
+}
+
+// appendResponse appends a response frame's payload — the header, then
+// one record line per result, logged at its test's campaign position —
+// to a frame started by newFrame.
+func appendResponse(frame []byte, id uint64, batch []testgen.Dataset, results []target.Result, codec campaign.Codec) ([]byte, error) {
+	frame = appendRespHeader(frame, respHeader{ID: id, N: len(results)})
+	for i, r := range results {
+		rec := campaign.ToRecord(batch[i].Index, r)
+		var err error
+		if frame, err = codec.AppendEncode(frame, &rec); err != nil {
+			return frame, err
+		}
+		frame = append(frame, '\n')
+	}
+	return frame, nil
+}
+
+// appendRespHeader appends a binary response header.
+func appendRespHeader(dst []byte, h respHeader) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, h.ID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(h.N))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(h.Err)))
+	return append(dst, h.Err...)
+}
+
+// parseResponse splits a response payload into its header and the
+// record lines that follow.
+func parseResponse(p []byte) (respHeader, []byte, error) {
+	var h respHeader
+	if len(p) < respHeaderLen {
+		return h, nil, fmt.Errorf("remote: response header of %d bytes, want %d", len(p), respHeaderLen)
+	}
+	h.ID = binary.BigEndian.Uint64(p)
+	n := binary.BigEndian.Uint32(p[8:])
+	errLen := binary.BigEndian.Uint32(p[12:])
+	rest := p[respHeaderLen:]
+	if uint64(errLen) > uint64(len(rest)) {
+		return h, nil, fmt.Errorf("remote: response error of %d bytes in %d", errLen, len(rest))
+	}
+	h.Err = string(rest[:errLen])
+	body := rest[errLen:]
+	if uint64(n) > uint64(len(body)) {
+		return h, nil, fmt.Errorf("remote: response declares %d records in %d bytes", n, len(body))
+	}
+	h.N = int(n)
+	return h, body, nil
+}
+
+// decodeResults rebuilds the results of a response body, resolving each
+// hypercall against h. The body must hold exactly hdr.N record lines.
+func decodeResults(hdr respHeader, body []byte, h *apispec.Header, codec campaign.Codec) ([]target.Result, error) {
+	if hdr.Err != "" {
+		return nil, fmt.Errorf("remote: worker refused lease: %s", hdr.Err)
+	}
+	results := make([]target.Result, 0, hdr.N)
+	var rec campaign.JSONRecord
+	err := eachLine(body, hdr.N, func(line []byte) error {
+		if err := codec.Decode(line, &rec); err != nil {
+			return err
+		}
+		r, err := rec.Result(h)
+		results = append(results, r)
+		return err
+	})
+	return results, err
+}
+
+// eachLine calls fn on each of the n newline-terminated lines of body,
+// refusing a body that holds fewer or more.
+func eachLine(body []byte, n int, fn func(line []byte) error) error {
+	for i := 0; i < n; i++ {
+		j := bytes.IndexByte(body, '\n')
+		if j < 0 {
+			return fmt.Errorf("remote: body ends at record %d of %d", i, n)
+		}
+		if err := fn(body[:j+1]); err != nil {
+			return fmt.Errorf("remote: record %d: %w", i, err)
+		}
+		body = body[j+1:]
+	}
+	if len(body) > 0 {
+		return fmt.Errorf("remote: %d bytes after the last of %d records", len(body), n)
+	}
+	return nil
 }
 
 // encodeJSON marshals a protocol message, panicking on the impossible

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // testPlan builds a small deterministic plan over a couple of quick
 // hypercalls.
-func testPlan(t *testing.T, spec string, seed int64, funcs ...string) testgen.Plan {
+func testPlan(t testing.TB, spec string, seed int64, funcs ...string) testgen.Plan {
 	t.Helper()
 	keep := map[string]bool{}
 	for _, f := range funcs {
@@ -63,7 +64,16 @@ func startWorker(t *testing.T, tgt string, workers, exitAfter int) (string, *Ser
 // target spec and returns the merged campaign log bytes.
 func mergedLog(t *testing.T, plan testgen.Plan, tgtSpec string, workers, batch int) []byte {
 	t.Helper()
-	dir := t.TempDir()
+	log, err := streamMerged(t.TempDir(), plan, tgtSpec, workers, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// streamMerged is mergedLog for goroutines other than the test's: it
+// reports failures as errors.
+func streamMerged(dir string, plan testgen.Plan, tgtSpec string, workers, batch int) ([]byte, error) {
 	eo := campaign.EngineOptions{
 		Options:   campaign.Options{Workers: workers, Target: tgtSpec},
 		ShardDir:  dir,
@@ -71,20 +81,20 @@ func mergedLog(t *testing.T, plan testgen.Plan, tgtSpec string, workers, batch i
 	}
 	stats, err := campaign.StreamPlan(plan, eo, nil)
 	if err != nil {
-		t.Fatalf("stream on %s: %v", tgtSpec, err)
+		return nil, fmt.Errorf("stream on %s: %w", tgtSpec, err)
 	}
 	if stats.Executed != plan.Len() {
-		t.Fatalf("stream on %s executed %d of %d", tgtSpec, stats.Executed, plan.Len())
+		return nil, fmt.Errorf("stream on %s executed %d of %d", tgtSpec, stats.Executed, plan.Len())
 	}
 	var buf bytes.Buffer
 	n, err := campaign.MergeShards(dir, &buf)
 	if err != nil {
-		t.Fatalf("merge: %v", err)
+		return nil, fmt.Errorf("merge: %w", err)
 	}
 	if n != plan.Len() {
-		t.Fatalf("merge on %s: %d records, want %d", tgtSpec, n, plan.Len())
+		return nil, fmt.Errorf("merge on %s: %d records, want %d", tgtSpec, n, plan.Len())
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
 // TestFrameRoundTrip pins the length-prefixed framing.

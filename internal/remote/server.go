@@ -1,7 +1,8 @@
 package remote
 
 import (
-	"encoding/json"
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -13,20 +14,28 @@ import (
 	"xmrobust/internal/dict"
 	"xmrobust/internal/obs"
 	"xmrobust/internal/target"
-	"xmrobust/internal/testgen"
 )
 
 // Server wraps one local target behind the wire protocol: every accepted
 // connection gets a hello, then a stream of lease requests, each executed
 // on the wrapped target and answered with campaign-log records.
-// Connections pipeline — a request is handled in its own goroutine,
-// bounded by the worker pool — so one slow lease never stalls the link.
+//
+// Connections pipeline. Each connection's read loop reads request frames
+// and hands them to Workers long-lived executor goroutines of that
+// connection, which decode, execute and answer them, so one slow lease
+// never stalls the link and no goroutine is started per request (an
+// executor keeps the stack it grew decoding and encoding). A server-wide
+// semaphore of Workers slots bounds execution across all connections.
+// Responses from one connection's executors interleave whole frames:
+// each is built in one buffer and written in one call under the
+// connection's write lock.
 type Server struct {
 	// Target executes the leases; it may be any registered backend
 	// (sim, phantom, diff:..., inject:...). Provision is called once with
 	// Workers before the first request executes.
 	Target target.Target
-	// Workers bounds concurrent lease execution (default 1).
+	// Workers bounds concurrent lease execution across every connection,
+	// and is the number of executors each connection runs (default 1).
 	Workers int
 	// ExitAfter, when positive, makes the server call OnExit once that
 	// many tests have executed — before the crossing request's response
@@ -50,6 +59,7 @@ type Server struct {
 	executed      atomic.Int64
 	exitOnce      sync.Once
 	met           *obs.WorkerMetrics // set in provision; nil handles when obs off
+	codec         campaign.Codec     // raw: leases and results travel as its record lines
 
 	// header and dict are the spec and value dictionary every request
 	// executes against, built once in provision: they are read-only, so
@@ -134,6 +144,10 @@ func (s *Server) provision() error {
 		}
 		s.sem = make(chan struct{}, s.Workers)
 		s.header, s.dict = apispec.Default(), dict.Builtin()
+		s.codec, s.provisionErr = campaign.NewCodec("raw")
+		if s.provisionErr != nil {
+			return
+		}
 		s.met = obs.NewWorkerMetrics(s.Obs.Registry())
 		s.Obs.Prog().Begin(0, 0)
 		s.provisionErr = s.Target.Provision(s.Workers)
@@ -193,62 +207,83 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // handleConn speaks the protocol on one connection: hello, then a loop
 // of pipelined lease requests until the peer hangs up (or Shutdown
-// breaks the read loop; requests already read still answer).
+// breaks the read loop; requests already read still answer, and the
+// connection closes once the executors have drained them).
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
-	var wmu sync.Mutex // responses from concurrent leases interleave frames, never bytes
 	hello := encodeJSON(Hello{Proto: ProtoVersion, Target: s.Target.Name()})
-	wmu.Lock()
-	err := WriteFrame(conn, hello)
-	wmu.Unlock()
-	if err != nil {
+	if err := WriteFrame(conn, hello); err != nil {
 		return
 	}
 	s.met.WireTx.Add(uint64(len(hello)) + frameOverhead)
+
+	sc := &serverConn{conn: conn}
+	reqs := make(chan *[]byte)
 	var wg sync.WaitGroup
+	for i := 0; i < s.Workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.executor(sc, reqs)
+		}()
+	}
 	defer wg.Wait()
+	defer close(reqs)
+	br := bufio.NewReader(conn)
 	for {
-		payload, err := ReadFrame(conn)
+		bp := getFrameBuf()
+		payload, err := readFrame(br, *bp)
 		if err != nil {
+			putFrameBuf(bp)
 			return
 		}
+		*bp = payload
 		s.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
-		wg.Add(1)
-		go func(payload []byte) {
-			defer wg.Done()
-			s.handleRequest(conn, &wmu, payload)
-		}(payload)
+		reqs <- bp
 	}
 }
 
-// handleRequest executes one lease and writes its response frame.
-func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
+// serverConn is one accepted connection's write side: executors
+// interleave response frames under wmu, never bytes.
+type serverConn struct {
+	conn net.Conn
+	wmu  sync.Mutex
+}
+
+// executor answers requests of one connection until its read loop ends.
+// Its response frame buffer lives as long as it does.
+func (s *Server) executor(sc *serverConn, reqs <-chan *[]byte) {
+	var out []byte
+	for bp := range reqs {
+		out = s.handleRequest(sc, *bp, out)
+		putFrameBuf(bp)
+	}
+}
+
+// handleRequest executes one lease and writes its response frame, built
+// in out; it returns out for the next request.
+func (s *Server) handleRequest(sc *serverConn, payload, out []byte) []byte {
 	if s.ExitAfter > 0 && int(s.executed.Load()) >= s.ExitAfter {
 		// Already dying: a dead worker answers nothing.
-		return
+		return out
 	}
-	var req execRequest
-	if err := unmarshalRequest(payload, &req); err != nil {
+	hdr, body, err := parseRequest(payload)
+	if errors.Is(err, errNoID) {
+		// Nothing to answer: drop the connection, so the client's
+		// pending leases fail over instead of waiting for a reply.
 		s.logf("refusing request: %v", err)
-		s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-		return
+		sc.conn.Close()
+		return out
 	}
-	spec := specFromWire(req.Spec, s.header, s.dict)
-	datasets := make([]testgen.Dataset, 0, len(req.Tests))
-	for _, wt := range req.Tests {
-		ds, err := testFromWire(wt, spec.Header)
-		if err != nil {
-			s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-			return
-		}
-		datasets = append(datasets, ds)
-	}
-	codec, err := campaign.NewCodec("raw")
 	if err != nil {
-		s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-		return
+		return s.refuse(sc, out, hdr.ID, err)
 	}
+	datasets, err := decodeLease(body, hdr.N, s.header, s.codec)
+	if err != nil {
+		return s.refuse(sc, out, hdr.ID, err)
+	}
+	spec := specFromWire(hdr.Spec, s.header, s.dict)
 
 	s.sem <- struct{}{}
 	var results []target.Result
@@ -268,46 +303,42 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
 	s.met.Executed.Add(uint64(len(results)))
 	s.Obs.Prog().Done(len(results))
 
-	records := make([][]byte, 0, len(results))
-	for i, r := range results {
-		rec := campaign.ToRecord(req.Tests[i].Pos, r)
-		line, err := codec.AppendEncode(nil, &rec)
-		if err != nil {
-			s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-			return
-		}
-		records = append(records, append(line, '\n'))
+	out, err = appendResponse(newFrame(out), hdr.ID, datasets, results, s.codec)
+	if err != nil {
+		return s.refuse(sc, out, hdr.ID, err)
 	}
 	if s.ExitAfter > 0 {
-		if total := s.executed.Add(int64(len(req.Tests))); int(total) >= s.ExitAfter {
+		if total := s.executed.Add(int64(len(datasets))); int(total) >= s.ExitAfter {
 			// Die without responding: the client sees the connection drop
 			// with this lease in flight and must re-execute it elsewhere.
 			s.exitOnce.Do(s.OnExit)
-			return
+			return out
 		}
 	}
-	s.respond(conn, wmu, respHeader{ID: req.ID, N: len(records)}, records)
+	return s.respond(sc, hdr.ID, out)
 }
 
-// respond writes one response frame: the header line, then the records.
-func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, hdr respHeader, records [][]byte) {
-	payload := append(encodeJSON(hdr), '\n')
-	for _, rec := range records {
-		payload = append(payload, rec...)
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	if err := WriteFrame(conn, payload); err != nil {
-		s.logf("response %d: %v", hdr.ID, err)
-		return
-	}
-	s.met.WireTx.Add(uint64(len(payload)) + frameOverhead)
+// refuse answers a lease the worker cannot execute with its error, so
+// the client fails the lease at once instead of waiting.
+func (s *Server) refuse(sc *serverConn, out []byte, id uint64, err error) []byte {
+	s.logf("refusing request %d: %v", id, err)
+	return s.respond(sc, id, appendRespHeader(newFrame(out), respHeader{ID: id, Err: err.Error()}))
 }
 
-// unmarshalRequest decodes a request frame.
-func unmarshalRequest(payload []byte, req *execRequest) error {
-	if err := json.Unmarshal(payload, req); err != nil {
-		return fmt.Errorf("remote: bad request frame: %w", err)
+// respond seals and writes one response frame, turning a response too
+// large for a frame into a refusal; it returns the frame's buffer.
+func (s *Server) respond(sc *serverConn, id uint64, frame []byte) []byte {
+	if err := sealFrame(frame); err != nil {
+		frame = appendRespHeader(newFrame(frame), respHeader{ID: id, Err: err.Error()})
+		sealFrame(frame) // a bare refusal is far below the limit
 	}
-	return nil
+	sc.wmu.Lock()
+	_, err := sc.conn.Write(frame)
+	sc.wmu.Unlock()
+	if err != nil {
+		s.logf("response %d: %v", id, err)
+		return frame
+	}
+	s.met.WireTx.Add(uint64(len(frame)))
+	return frame
 }
